@@ -119,6 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--p", type=int, default=1)
     run_parser.add_argument("--payload", type=int, default=400_000, help="payload size in bytes")
     run_parser.add_argument("--duration", type=float, default=20.0)
+    run_parser.add_argument("--warmup", type=float, default=2.0,
+                            help="seconds excluded from the measurements; "
+                                 "must be below --duration (default: 2)")
     run_parser.add_argument("--topology", choices=sorted(TOPOLOGY_FACTORIES), default="global4")
     run_parser.add_argument("--latency-model", choices=available_latency_models(),
                             default="geo",
@@ -335,6 +338,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     spec = ExperimentSpec(protocol=args.protocol, params=params,
                           topology=args.topology, duration=args.duration,
+                          warmup=args.warmup,
                           seed=args.seed, transport=args.transport,
                           uplink_mbps=args.uplink_mbps,
                           relays=args.relays if args.relays is not None else 2,
@@ -343,6 +347,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                          if args.compute_scale is not None else 1.0),
                           latency_model=args.latency_model,
                           scheduler=args.scheduler)
+    try:
+        spec.to_config()
+    except ValueError as error:
+        print(f"banyan-repro run: error: {error}", file=sys.stderr)
+        return 2
     if args.profile or args.profile_out:
         return _run_profiled(spec, profile_out=args.profile_out)
     plan = ExperimentPlan(name="run", title="custom experiment",

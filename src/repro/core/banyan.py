@@ -211,15 +211,23 @@ class BanyanReplica(ICCReplica):
     # Fast votes, unlock conditions, FP-finalization
     # ------------------------------------------------------------------ #
 
+    # A fast vote or an unlock proof re-evaluates the round only if it
+    # changed the support — or if a fast finalization's voters were merged
+    # since the last evaluation (``unevaluated``).  Re-evaluating unchanged
+    # support is a no-op: Definition 7.6 depends only on the support, the
+    # block ranks and the sticky Condition-2 flag; every block added to
+    # the tree re-evaluates (``_after_block_added``); and ``k_max`` and the
+    # unlocked set only grow.  So each gossiped copy costs one tally check.
+
     def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
         state = self._fast_state(vote.round)
-        state.record_fast_vote(vote.block_id, vote.voter)
-        self._update_fast_path(ctx, vote.round)
+        if state.record_fast_vote(vote.block_id, vote.voter) or state.unevaluated:
+            self._update_fast_path(ctx, vote.round)
 
     def _absorb_unlock_proof(self, ctx: ReplicaContext, proof: UnlockProof) -> None:
         state = self._fast_state(proof.round)
-        state.merge_unlock_proof(proof)
-        self._update_fast_path(ctx, proof.round)
+        if state.merge_unlock_proof(proof) or state.unevaluated:
+            self._update_fast_path(ctx, proof.round)
 
     def _after_block_added(self, ctx: ReplicaContext, block: Block) -> None:
         self._fast_state(block.round).record_block(block.id, block.rank)
@@ -246,7 +254,7 @@ class BanyanReplica(ICCReplica):
     def _try_fast_finalization(self, ctx: ReplicaContext, round_k: int) -> None:
         if round_k <= self.k_max:
             # Already finalized at or past this round; nothing a fast
-            # quorum here could add (hot path: every fast vote re-checks).
+            # quorum here could add (hot path: every new fast vote re-checks).
             return
         state = self._fast_state(round_k)
         for block_id in state.fast_finalizable_blocks():

@@ -71,34 +71,65 @@ class FastPathState:
         #: the condition is monotone and the set is sticky — re-evaluation
         #: skips these.
         self._unlocked: Set[BlockId] = set()
+        #: Whether the support or the received blocks changed since the
+        #: last :meth:`evaluate_unlocks`.  The recording methods set it
+        #: whenever they return ``True``; a replica re-evaluates only then,
+        #: since an evaluation over unchanged inputs decides nothing new.
+        self.unevaluated = False
 
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
 
-    def record_block(self, block_id: BlockId, rank: int) -> None:
-        """Register a received round-``k`` block and its rank."""
-        if block_id not in self._block_ranks:
-            self._block_ranks[block_id] = rank
-            if rank != 0:
-                self._non_leader.add(block_id)
-                # Votes may precede the block: fold its existing support in.
-                self._non_leader_support |= self._support.voters(block_id)
+    def record_block(self, block_id: BlockId, rank: int) -> bool:
+        """Register a received round-``k`` block and its rank.
 
-    def record_fast_vote(self, block_id: BlockId, voter: int) -> None:
-        """Register a fast vote from ``voter`` for ``block_id``."""
-        if self._support.add_vote(block_id, voter) and block_id in self._non_leader:
+        Returns whether the block was new.
+        """
+        if block_id in self._block_ranks:
+            return False
+        self._block_ranks[block_id] = rank
+        if rank != 0:
+            self._non_leader.add(block_id)
+            # Votes may precede the block: fold its existing support in.
+            self._non_leader_support |= self._support.voters(block_id)
+        self.unevaluated = True
+        return True
+
+    def record_fast_vote(self, block_id: BlockId, voter: int) -> bool:
+        """Register a fast vote from ``voter`` for ``block_id``.
+
+        Returns whether the vote was new (a duplicate changes nothing).
+        """
+        if not self._support.add_vote(block_id, voter):
+            return False
+        if block_id in self._non_leader:
             self._non_leader_support.add(voter)
+        self.unevaluated = True
+        return True
 
-    def merge_fast_votes(self, block_id: BlockId, voters: Iterable[int]) -> None:
-        """Register a certificate's fast votes for ``block_id`` in bulk."""
-        if self._support.add_voters(block_id, voters) and block_id in self._non_leader:
-            self._non_leader_support |= set(voters)
+    def merge_fast_votes(self, block_id: BlockId, voters: Iterable[int]) -> bool:
+        """Register a certificate's fast votes for ``block_id`` in bulk.
 
-    def merge_unlock_proof(self, proof: UnlockProof) -> None:
-        """Merge the voter sets carried by an unlock proof (Addition 1/2)."""
+        Returns whether any vote was new.
+        """
+        if not self._support.add_voters(block_id, voters):
+            return False
+        if block_id in self._non_leader:
+            self._non_leader_support |= self._support.voters(block_id)
+        self.unevaluated = True
+        return True
+
+    def merge_unlock_proof(self, proof: UnlockProof) -> bool:
+        """Merge the voter sets carried by an unlock proof (Addition 1/2).
+
+        Returns whether any vote was new.
+        """
+        changed = False
         for block_id, voters in proof.votes_by_block:
-            self.merge_fast_votes(block_id, voters)
+            if self.merge_fast_votes(block_id, voters):
+                changed = True
+        return changed
 
     # ------------------------------------------------------------------ #
     # Queries (Definitions 7.1 – 7.5)
@@ -159,14 +190,17 @@ class FastPathState:
         the round are unlocked, so later calls keep returning
         ``all_unlocked=True``.
 
-        Called on every fast vote and unlock-proof merge, so both
-        conditions are evaluated incrementally: Condition 1 is monotone
-        (support only grows) and skips already-unlocked blocks, and
+        The replica calls this whenever a fast vote, an unlock proof or a
+        received block changed the round's state (see
+        :attr:`unevaluated`, which this clears), so both conditions are
+        evaluated incrementally: Condition 1 is monotone (support only
+        grows) and skips already-unlocked blocks, and
         ``supp(nonLeaderBlocks)`` is the maintained running union rather
         than rebuilt per call.  In an uncontested round (one rank-0 block,
         no non-leader blocks) a call is O(1) per pending block instead of
         O(n) set unions.
         """
+        self.unevaluated = False
         non_leader_support = self._non_leader_support
         nls_size = len(non_leader_support)
         threshold = self.unlock_threshold
@@ -203,7 +237,7 @@ class FastPathState:
         """Rank-0 blocks whose support reaches the fast quorum ``n - p``."""
         if not self._support.fired_count():
             # No block has reached the fast quorum yet — skip the scan
-            # (this runs on every fast vote of the round).
+            # (this runs on every new fast vote of the round).
             return []
         return [
             block_id

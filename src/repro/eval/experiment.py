@@ -112,6 +112,21 @@ class ExperimentConfig:
     compute_scale: float = 1.0
     scheduler: str = "auto"
 
+    def __post_init__(self) -> None:
+        """Reject a config that cannot produce a measurement.
+
+        Raises:
+            ValueError: if ``duration`` is not positive or ``warmup`` does
+                not end before it (the measured window would be empty and
+                every metric would report zero).
+        """
+        if self.duration <= 0:
+            raise ValueError(f"duration {self.duration:g}s must be positive "
+                             f"(warmup {self.warmup:g}s)")
+        if self.warmup >= self.duration:
+            raise ValueError(f"warmup {self.warmup:g}s must be below the "
+                             f"{self.duration:g}s duration, or nothing is measured")
+
     def resolved_topology(self) -> Topology:
         """The topology to use (default: 4 global datacenters)."""
         return self.topology or four_global_datacenters(self.params.n)
@@ -423,7 +438,7 @@ def run_experiment(config: ExperimentConfig,
         for replica_id in simulation.replica_ids
     }
     metrics = collector.finalize(
-        duration=max(config.duration - config.warmup, 1e-9),
+        duration=config.duration - config.warmup,
         proposal_times=proposal_times,
     )
     compute_stats = simulation.compute_stats()
@@ -432,7 +447,7 @@ def run_experiment(config: ExperimentConfig,
         # Busy fractions are over the full run (the CPU is busy during the
         # warm-up too); queue waits are totals per replica.
         metrics.compute_busy_fractions = {
-            replica_id: busy / config.duration if config.duration > 0 else 0.0
+            replica_id: busy / config.duration
             for replica_id, busy in busy_by_replica.items()
         }
     waits = compute_stats.get("queue_wait_s")
@@ -444,8 +459,7 @@ def run_experiment(config: ExperimentConfig,
         messages_sent=simulation.messages_sent,
         bytes_sent=simulation.bytes_sent,
         workload=(
-            pool.metrics(max(config.duration - config.warmup, 1e-9),
-                         warmup=config.warmup)
+            pool.metrics(config.duration - config.warmup, warmup=config.warmup)
             if pool is not None else None
         ),
     )

@@ -100,6 +100,10 @@ class ICCReplica(Protocol):
         self.k_max = 0
         #: Shared vote tallies: one tracker per (round, vote kind).
         self.votes = CertificateCollector()
+        #: The notarization and finalization round → tracker tables, held
+        #: directly so a per-vote lookup hashes only the round.
+        self._notarization_trackers = self.votes.table(VoteKind.NOTARIZATION)
+        self._finalization_trackers = self.votes.table(VoteKind.FINALIZATION)
         self._rounds: Dict[int, _RoundState] = {}
         #: Blocks waiting for their parent to arrive, keyed by parent id.
         self._orphans: Dict[BlockId, List[Block]] = {}
@@ -138,13 +142,19 @@ class ICCReplica(Protocol):
 
     def _notarization_tracker(self, round_k: int) -> QuorumTracker:
         """The round's notarization tally (created on first use)."""
-        return self.votes.tracker(round_k, VoteKind.NOTARIZATION,
-                                  self._notarization_quorum)
+        tracker = self._notarization_trackers.get(round_k)
+        if tracker is None:
+            tracker = self.votes.tracker(round_k, VoteKind.NOTARIZATION,
+                                         self._notarization_quorum)
+        return tracker
 
     def _finalization_tracker(self, round_k: int) -> QuorumTracker:
         """The round's finalization tally (created on first use)."""
-        return self.votes.tracker(round_k, VoteKind.FINALIZATION,
-                                  self._finalization_quorum)
+        tracker = self._finalization_trackers.get(round_k)
+        if tracker is None:
+            tracker = self.votes.tracker(round_k, VoteKind.FINALIZATION,
+                                         self._finalization_quorum)
+        return tracker
 
     # ------------------------------------------------------------------ #
     # Protocol interface
@@ -478,13 +488,17 @@ class ICCReplica(Protocol):
         raise ValueError(f"unsupported vote kind for ICC: {kind}")
 
     def _handle_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
-        if vote.kind is VoteKind.NOTARIZATION:
-            self._notarization_tracker(vote.round).add_vote(vote.block_id, vote.voter)
-            self._try_notarizations(ctx, vote.round)
-        elif vote.kind is VoteKind.FINALIZATION:
-            self._finalization_tracker(vote.round).add_vote(vote.block_id, vote.voter)
-            self._try_slow_finalization(ctx, vote.round, vote.block_id)
-        elif vote.kind is VoteKind.FAST:
+        # A duplicate vote cannot fire a threshold, so only a new one
+        # re-checks.  A quorum whose block has not arrived yet is re-scanned
+        # when the block is added (``_after_block_added``).
+        kind = vote.kind
+        if kind is VoteKind.NOTARIZATION:
+            if self._notarization_tracker(vote.round).add_vote(vote.block_id, vote.voter):
+                self._try_notarizations(ctx, vote.round)
+        elif kind is VoteKind.FINALIZATION:
+            if self._finalization_tracker(vote.round).add_vote(vote.block_id, vote.voter):
+                self._try_slow_finalization(ctx, vote.round, vote.block_id)
+        elif kind is VoteKind.FAST:
             self._handle_fast_vote(ctx, vote)
 
     def _handle_fast_vote(self, ctx: ReplicaContext, vote: Vote) -> None:
@@ -521,10 +535,10 @@ class ICCReplica(Protocol):
         self._try_notarization_votes(ctx, round_k + 1)
 
     def _register_notarization(self, ctx: ReplicaContext, notarization: Notarization) -> None:
-        self._notarization_tracker(notarization.round).add_voters(
+        if self._notarization_tracker(notarization.round).add_voters(
             notarization.block_id, notarization.voters
-        )
-        self._try_notarizations(ctx, notarization.round)
+        ):
+            self._try_notarizations(ctx, notarization.round)
 
     # ------------------------------------------------------------------ #
     # Round advancement

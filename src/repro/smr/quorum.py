@@ -20,7 +20,16 @@ centralises it:
 * :class:`CertificateCollector` is the per-replica front: it lazily creates
   one tracker per ``(round, kind)`` and aggregates equivocation evidence
   across rounds, so a protocol carries a single collector instead of one
-  dictionary per vote kind per round.
+  dictionary per vote kind per round.  It keeps one round → tracker table
+  per kind, so a hot-path lookup hashes an int round rather than a
+  ``(round, kind)`` tuple (whose ``Enum`` member hashes in Python code);
+  a protocol may hold a kind's table itself (:meth:`CertificateCollector.table`).
+
+Certificates are gossiped: at ``n`` replicas each one arrives about ``n``
+times, and most copies carry no voter the tracker lacks.
+:meth:`QuorumTracker.add_voters` therefore exits on one ``issuperset`` C
+call when a merge adds nothing, and its return value tells the caller
+whether re-checking its thresholds can find anything new.
 
 The engine works at any threshold — ICC's ``n - f``, Banyan's
 ``⌈(n+f+1)/2⌉`` notarization and ``n - p`` fast quorums, HotStuff's QC
@@ -56,7 +65,7 @@ class QuorumTracker:
     """
 
     __slots__ = ("threshold", "on_threshold", "_voters", "_by_voter",
-                 "_fired", "_equivocators", "_merged_sets")
+                 "_fired", "_equivocators")
 
     def __init__(self, threshold: int,
                  on_threshold: Optional[ThresholdCallback] = None) -> None:
@@ -71,11 +80,6 @@ class QuorumTracker:
         #: Blocks whose threshold callback has fired already.
         self._fired: Set[Hashable] = set()
         self._equivocators: Set[int] = set()
-        #: Block id → voter sets already merged via :meth:`add_voters`.
-        #: Certificates are gossiped O(n) times each, so the same frozenset
-        #: arrives over and over; its cached hash makes the repeat check
-        #: O(1) instead of an O(n) set difference.
-        self._merged_sets: Dict[Hashable, Set[FrozenSet[int]]] = {}
 
     # ------------------------------------------------------------------ #
     # Recording
@@ -152,34 +156,31 @@ class QuorumTracker:
 
         Hot path of certificate gossip: at ``n`` replicas every certificate
         carries O(n) voters and is received n times, so the all-duplicates
-        case must not cost one Python call per voter.  A set difference
-        finds the new voters first; the per-voter walk (which preserves
-        :meth:`add_vote`'s exact mid-merge ``on_threshold`` timing) runs
-        only when this merge could fire the threshold callback.
+        case must not cost one Python call per voter.  A merge that adds
+        nothing exits on one ``issuperset`` call (no allocation); otherwise
+        a set difference finds the new voters, and the per-voter walk
+        (which preserves :meth:`add_vote`'s exact mid-merge
+        ``on_threshold`` timing, in the order ``voters`` yields them) runs
+        only when this merge could fire the threshold callback.  A one-shot
+        iterable is materialised first, since the superset check would
+        consume it.
         """
-        merged = self._merged_sets.get(block_id)
-        if merged is None:
-            merged = self._merged_sets[block_id] = set()
-        voter_set = voters if isinstance(voters, frozenset) else frozenset(voters)
-        if voter_set in merged:
-            return False
+        if not isinstance(voters, (frozenset, set, tuple, list)):
+            voters = tuple(voters)
         existing = self._voters.get(block_id)
         if existing is None:
             existing = self._voters[block_id] = set()
-        new = voter_set - existing
-        if not new:
-            merged.add(voter_set)
+        if existing.issuperset(voters):
             return False
+        new = frozenset(voters) - existing
         if block_id not in self._fired and len(existing) + len(new) >= self.threshold:
             # This merge crosses the threshold: take the per-voter path so
             # on_threshold fires at exactly the voter that reaches it (the
             # callback may inspect the tally mid-merge).
             for voter in voters:
                 self.add_vote(block_id, voter)
-            merged.add(voter_set)
             return True
         existing |= new
-        merged.add(voter_set)
         by_voter = self._by_voter
         equivocators = self._equivocators
         for voter in new:
@@ -264,23 +265,40 @@ class CertificateCollector:
     dictionaries-of-sets.
     """
 
-    __slots__ = ("_trackers",)
+    __slots__ = ("_tables", "_trackers")
 
     def __init__(self) -> None:
+        #: Vote kind → round → tracker (the lookup structure).
+        self._tables: Dict[Hashable, Dict[int, QuorumTracker]] = {}
+        #: ``(round, kind)`` → tracker in creation order; written once per
+        #: tracker, it gives :meth:`equivocation_evidence` its keys and order.
         self._trackers: Dict[Tuple[int, Hashable], QuorumTracker] = {}
+
+    def table(self, kind: Hashable) -> Dict[int, QuorumTracker]:
+        """The live round → tracker table of ``kind``.
+
+        A protocol may keep it and look trackers up by round directly;
+        trackers must still be created through :meth:`tracker`.
+        """
+        table = self._tables.get(kind)
+        if table is None:
+            table = self._tables[kind] = {}
+        return table
 
     def tracker(self, round_k: int, kind: Hashable, threshold: int,
                 on_threshold: Optional[ThresholdCallback] = None) -> QuorumTracker:
         """The tracker of ``(round, kind)``, created on first use."""
-        key = (round_k, kind)
-        tracker = self._trackers.get(key)
+        table = self.table(kind)
+        tracker = table.get(round_k)
         if tracker is None:
-            tracker = self._trackers[key] = QuorumTracker(threshold, on_threshold)
+            tracker = table[round_k] = QuorumTracker(threshold, on_threshold)
+            self._trackers[(round_k, kind)] = tracker
         return tracker
 
     def get(self, round_k: int, kind: Hashable) -> Optional[QuorumTracker]:
         """The tracker of ``(round, kind)`` if it exists (no creation)."""
-        return self._trackers.get((round_k, kind))
+        table = self._tables.get(kind)
+        return None if table is None else table.get(round_k)
 
     def add_vote(self, round_k: int, kind: Hashable, block_id: Hashable,
                  voter: int, threshold: int) -> bool:
@@ -290,9 +308,9 @@ class CertificateCollector:
     def equivocation_evidence(self) -> Dict[Tuple[int, Hashable], FrozenSet[int]]:
         """Conflicting-support observations per ``(round, kind)``.
 
-        Empty entries are omitted.  Interpret per vote kind — see
-        :meth:`QuorumTracker.equivocators` for which kinds make the
-        observation hard evidence of misbehaviour.
+        Keys follow tracker creation order; empty entries are omitted.
+        Interpret per vote kind — see :meth:`QuorumTracker.equivocators`
+        for which kinds make the observation hard evidence of misbehaviour.
         """
         return {
             key: tracker.equivocators()

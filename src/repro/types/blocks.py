@@ -12,7 +12,8 @@ of the network model used in the evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from repro.crypto.hashing import hash_hex
@@ -58,10 +59,18 @@ class Block:
         """Logical size of the block payload in bytes."""
         return self.payload_size if self.payload_size is not None else len(self.payload)
 
-    @property
+    @cached_property
     def id(self) -> BlockId:
-        """The block identifier (hash of the block contents)."""
-        return _block_id(self)
+        """The block identifier (hash of the block contents).
+
+        Computed on first access and kept in the instance ``__dict__``
+        (``cached_property`` writes there directly, so this works on a
+        frozen dataclass); later reads are plain attribute lookups.  The
+        id is not a field, so equality, hashing and the wire encoding are
+        unaffected.
+        """
+        return hash_hex((self.round, self.proposer, self.rank, self.parent_id,
+                         self.payload, self.payload_size))
 
     def is_genesis(self) -> bool:
         """Return whether this is the genesis block."""
@@ -72,28 +81,6 @@ class Block:
             f"Block(round={self.round}, proposer={self.proposer}, rank={self.rank}, "
             f"id={self.id[:8]}, parent={(self.parent_id or 'None')[:8]}, size={self.size})"
         )
-
-
-# Block ids are pure functions of the (immutable) block contents, so they can
-# be memoised.  The cache lives outside the dataclass to keep Block frozen and
-# hashable by value.
-_BLOCK_ID_CACHE: dict = {}
-
-
-def _block_id(block: Block) -> BlockId:
-    key = (
-        block.round,
-        block.proposer,
-        block.rank,
-        block.parent_id,
-        block.payload,
-        block.payload_size,
-    )
-    cached = _BLOCK_ID_CACHE.get(key)
-    if cached is None:
-        cached = hash_hex(key)
-        _BLOCK_ID_CACHE[key] = cached
-    return cached
 
 
 _GENESIS = Block(

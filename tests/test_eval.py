@@ -82,6 +82,21 @@ class TestExperimentRunner:
         assert row["protocol"] == "banyan"
         assert row["payload_bytes"] == 100_000
 
+    @pytest.mark.parametrize("duration,warmup", [(2.0, 2.0), (2.0, 3.5), (0.0, 0.0),
+                                                 (-1.0, -2.0)])
+    def test_unmeasurable_config_rejected(self, duration, warmup):
+        # An empty measured window would report a row of zeros.
+        with pytest.raises(ValueError) as error:
+            ExperimentConfig(protocol="banyan", params=ProtocolParams(n=4, f=1, p=1),
+                             duration=duration, warmup=warmup)
+        assert f"{duration:g}s" in str(error.value)
+        assert f"{warmup:g}s" in str(error.value)
+
+    def test_warmup_just_below_duration_accepted(self):
+        config = ExperimentConfig(protocol="banyan", params=ProtocolParams(n=4, f=1, p=1),
+                                  duration=2.0, warmup=1.5)
+        assert config.duration - config.warmup == 0.5
+
     def test_topology_size_mismatch_rejected(self):
         config = ExperimentConfig(
             protocol="icc",

@@ -198,3 +198,64 @@ class TestLegacyPreRefactorGoldens:
         assert digest == ("7ab2125db439432d731e3dab43d192fe"
                           "144fe383f697afa041d7a98be6d74a73")
         assert simulation.bytes_sent == 81_584_448
+
+
+class TestLargeNBanyanGoldens:
+    """Banyan beyond n=4: the scale shape and a contested fast path.
+
+    The grid cells all run at n=4, where every certificate and unlock proof
+    is small and few copies of each arrive.  These two cells pin the
+    shapes the protocol hot path is tuned for: n=32 on the jittered
+    ``wan-matrix`` model (every certificate gossiped ~32 times), and n=19
+    with two equivocating leaders, whose rounds hold several rank-0
+    blocks — Condition 2 of Definition 7.6 and multi-block unlock proofs.
+    Digests and message/byte counts were captured before the hot path was
+    made change-driven, so they pin that it sends and commits exactly
+    what the re-evaluate-on-every-copy code did.
+    """
+
+    def test_banyan_n32_wan_matrix(self):
+        from repro.net.latency import build_latency_model
+        from repro.net.topology import worldwide_datacenters
+
+        params = ProtocolParams(n=32, f=6, p=6, payload_size=1000)
+        topology = worldwide_datacenters(32)
+        simulation = Simulation(
+            create_replicas("banyan", params),
+            NetworkConfig(latency=build_latency_model("wan-matrix", topology),
+                          bandwidth=BandwidthModel(topology=topology), seed=11),
+        )
+        simulation.run(until=1.5)
+        assert _commit_digest(simulation) == (
+            "11369a675a9fb3dd978b2d4c613bd7df"
+            "dd58a5368178283e89a1d08b51b894e4")
+        assert simulation.messages_sent == 57_984
+        assert simulation.messages_delivered == 56_475
+        assert simulation.bytes_sent == 143_353_344
+
+    def test_banyan_n19_equivocating_leaders(self):
+        from repro.byzantine.behaviors import make_equivocating_banyan
+
+        params = ProtocolParams(n=19, f=6, p=1, rank_delay=0.3, payload_size=1000)
+        topology = four_global_datacenters(19)
+        replicas = create_replicas(
+            "banyan", params,
+            overrides={1: make_equivocating_banyan(), 8: make_equivocating_banyan()},
+        )
+        simulation = Simulation(
+            replicas,
+            NetworkConfig(latency=GeoLatency(topology),
+                          bandwidth=BandwidthModel(topology=topology), seed=5),
+        )
+        simulation.run(until=6.0)
+        assert _commit_digest(simulation) == (
+            "e7b111297f37135dd8a4854ec7afcd58"
+            "0f36bb34ac1599f070fc6eaa826c2882")
+        assert simulation.messages_sent == 59_470
+        assert simulation.messages_delivered == 58_550
+        assert simulation.bytes_sent == 107_978_216
+        # The cell really exercises the contested fast path.
+        states = [state for replica in replicas.values()
+                  for state in replica._fast.values()]
+        assert any(state.evaluate_unlocks().all_unlocked for state in states)
+        assert sum(len(state.rank_zero_blocks()) > 1 for state in states) >= 19

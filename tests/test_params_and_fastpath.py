@@ -227,6 +227,53 @@ class TestFastPathState:
         other.merge_unlock_proof(proof)
         assert other.support("a") == {0}
 
+    def test_recording_methods_report_changes(self):
+        """Each recorder returns True exactly when the known blocks or the
+        support changed, and marks the state unevaluated when it does."""
+        state = self._state()
+        assert state.record_block("a", rank=0) is True
+        assert state.record_block("a", rank=0) is False
+        assert state.record_block("a", rank=1) is False  # rank is fixed
+        assert state.record_fast_vote("a", 0) is True
+        assert state.record_fast_vote("a", 0) is False
+        assert state.merge_fast_votes("a", frozenset({0})) is False
+        assert state.merge_fast_votes("a", frozenset()) is False
+        assert state.merge_fast_votes("a", frozenset({0, 1})) is True
+        assert state.merge_fast_votes("a", [1, 0]) is False
+        proof = UnlockProof(round=1, block_id="a", votes_by_block=(
+            ("a", frozenset({0, 1})), ("b", frozenset({2}))))
+        assert state.merge_unlock_proof(proof) is True  # only "b" is new
+        assert state.merge_unlock_proof(proof) is False
+        assert state.support("b") == {2}
+
+    def test_only_changes_leave_the_state_unevaluated(self):
+        state = self._state()
+        assert not state.unevaluated
+        state.record_block("a", rank=0)
+        assert state.unevaluated
+        state.evaluate_unlocks()
+        assert not state.unevaluated
+        state.record_block("a", rank=0)
+        state.record_fast_vote("a", 0)
+        assert state.unevaluated
+        state.evaluate_unlocks()
+        state.record_fast_vote("a", 0)
+        state.merge_fast_votes("a", frozenset({0}))
+        state.merge_unlock_proof(UnlockProof(
+            round=1, block_id="a", votes_by_block=(("a", frozenset({0})),)))
+        assert not state.unevaluated
+        state.merge_fast_votes("a", frozenset({0, 3}))
+        assert state.unevaluated
+
+    def test_merge_into_non_leader_block_feeds_condition_support(self):
+        # A generator is consumed once by the tally; the non-leader union
+        # must still see every merged voter.
+        state = self._state()
+        state.record_block("leader", rank=0)
+        state.record_block("other", rank=1)
+        assert state.merge_fast_votes("other", (v for v in (0, 1, 2))) is True
+        assert state.evaluate_unlocks().all_unlocked
+
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
             FastPathState(unlock_threshold=-1, fast_quorum=3)

@@ -278,3 +278,118 @@ class TestBanyanUnitRules:
         assert replica.fast_quorum == 15
         icc = ICCReplica(0, params)
         assert icc.notarization_quorum == 15  # n - f
+
+
+class TestChangeDrivenReevaluation:
+    """Gossiped copies that change no tally do no re-evaluation work.
+
+    Each certificate and unlock proof reaches a replica about once per
+    peer; only the copies that add a voter may re-run the fast path or
+    the notarization scan.
+    """
+
+    @staticmethod
+    def _counting(monkeypatch, replica, method):
+        calls = []
+        original = getattr(replica, method)
+
+        def counted(ctx, round_k, *rest):
+            calls.append(round_k)
+            return original(ctx, round_k, *rest)
+
+        monkeypatch.setattr(replica, method, counted)
+        return calls
+
+    @staticmethod
+    def _started():
+        replica = BanyanReplica(0, _params(n=7, f=2, p=1))
+        ctx = FakeContext(0, 7)
+        replica.on_start(ctx)
+        return replica, ctx
+
+    @staticmethod
+    def _proof(*voters):
+        return UnlockProof(round=1, block_id="x",
+                           votes_by_block=(("x", frozenset(voters)),))
+
+    def test_duplicate_fast_vote_skips_the_fast_path(self, monkeypatch):
+        replica, ctx = self._started()
+        calls = self._counting(monkeypatch, replica, "_update_fast_path")
+        vote = FastVote(round=1, block_id="x", voter=3)
+        replica.on_message(ctx, 3, VoteMessage(votes=(vote,), sender=3))
+        assert calls == [1]
+        replica.on_message(ctx, 3, VoteMessage(votes=(vote,), sender=3))
+        assert calls == [1]
+        other = FastVote(round=1, block_id="x", voter=4)
+        replica.on_message(ctx, 4, VoteMessage(votes=(other,), sender=4))
+        assert calls == [1, 1]
+
+    def test_duplicate_or_subset_unlock_proof_skips_the_fast_path(self, monkeypatch):
+        replica, ctx = self._started()
+        calls = self._counting(monkeypatch, replica, "_update_fast_path")
+        replica.on_message(ctx, 2, CertificateMessage(
+            certificate=None, unlock_proof=self._proof(1, 2, 3), sender=2))
+        assert calls == [1]
+        for voters in ((1, 2, 3), (2,), (3, 1)):
+            replica.on_message(ctx, 2, CertificateMessage(
+                certificate=None, unlock_proof=self._proof(*voters), sender=2))
+        assert calls == [1]
+        replica.on_message(ctx, 2, CertificateMessage(
+            certificate=None, unlock_proof=self._proof(1, 2, 3, 4), sender=2))
+        assert calls == [1, 1]
+
+    def test_subset_certificate_skips_the_fast_path_and_notarization_scan(
+            self, monkeypatch):
+        replica, ctx = self._started()
+        fast_path = self._counting(monkeypatch, replica, "_update_fast_path")
+        scans = self._counting(monkeypatch, replica, "_try_notarizations")
+
+        def certificate(*voters):
+            return CertificateMessage(
+                certificate=Notarization(round=1, block_id="x",
+                                         voters=frozenset(voters)),
+                unlock_proof=self._proof(*voters), sender=5)
+
+        replica.on_message(ctx, 5, certificate(0, 1, 2, 3, 4))
+        assert fast_path == [1] and scans == [1]
+        replica.on_message(ctx, 5, certificate(0, 1, 2, 3, 4))
+        replica.on_message(ctx, 5, certificate(4, 3, 2, 1, 0))
+        assert fast_path == [1] and scans == [1]
+        replica.on_message(ctx, 5, certificate(0, 1, 2, 3, 4, 5))
+        assert fast_path == [1, 1] and scans == [1, 1]
+
+    def test_fast_finalization_merge_is_evaluated_by_the_next_copy(
+            self, monkeypatch):
+        # A fast finalization's voters are merged without re-evaluating the
+        # unlock conditions.  The round's next fast vote — even a copy that
+        # adds no voter — must evaluate that merge, exactly as
+        # re-evaluating every copy would.  Here the merge makes ``block``
+        # max(k), so the support of the two other rank-0 blocks of an
+        # equivocating leader meets Condition 2 and unlocks them.
+        from repro.types.certificates import FastFinalization
+
+        replica, ctx = self._started()
+        blocks = [Block(round=1, proposer=1, rank=0, parent_id=genesis_block().id,
+                        payload=payload) for payload in (b"x", b"y", b"z")]
+        block, other, third = blocks
+        replica.on_message(ctx, 1, _proposal(block))
+        for extra in (other, third):
+            replica.on_message(ctx, 1, _proposal(extra, proposer_fast_vote=False))
+        for voter, target in ((2, other), (3, other), (5, other), (4, third)):
+            vote = FastVote(round=1, block_id=target.id, voter=voter)
+            replica.on_message(ctx, voter, VoteMessage(votes=(vote,), sender=voter))
+        assert not replica.tree.is_unlocked(other.id)
+        calls = self._counting(monkeypatch, replica, "_update_fast_path")
+        replica.on_message(ctx, 6, CertificateMessage(
+            certificate=FastFinalization(round=1, block_id=block.id,
+                                         voters=frozenset(range(1, 7))),
+            sender=6))
+        assert [(b.id, kind) for b, kind in ctx.committed] == [(block.id, "fast")]
+        assert calls == [] and not replica.tree.is_unlocked(other.id)
+        duplicate = FastVote(round=1, block_id=other.id, voter=2)
+        replica.on_message(ctx, 2, VoteMessage(votes=(duplicate,), sender=2))
+        assert replica.tree.is_unlocked(other.id)
+        assert replica.tree.is_unlocked(third.id)
+        assert calls == [1]
+        replica.on_message(ctx, 2, VoteMessage(votes=(duplicate,), sender=2))
+        assert calls == [1]

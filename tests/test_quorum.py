@@ -137,6 +137,76 @@ class TestQuorumTracker:
             assert tracker.equivocators() == frozenset(expected)
 
 
+#: The voter-set shapes ``add_voters`` accepts: a certificate's frozenset,
+#: a re-iterable sequence, and a one-shot iterable.
+SHAPES = {
+    "frozenset": frozenset,
+    "list": list,
+    "generator": lambda voters: (voter for voter in voters),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+class TestAddVotersInputShapes:
+    """``add_voters`` against the per-vote path, for every input shape.
+
+    Each case replays the same history into two trackers — one merging the
+    final voter set with ``add_voters``, one calling ``add_vote`` per
+    voter in the order the set yields them — and compares the return
+    value, the tallies, the moment ``on_threshold`` fired, and the
+    equivocation evidence.
+    """
+
+    @staticmethod
+    def _tracker(threshold):
+        fired = []
+        tracker = QuorumTracker(threshold)
+        # Snapshot the tally the moment the callback fires: the crossing
+        # voter must be the same on both paths.
+        tracker.on_threshold = lambda block: fired.append(
+            (block, sorted(tracker.voters(block))))
+        # Voter 7 already supports another block: merging it for "b" is
+        # equivocation evidence.
+        tracker.add_vote("other", 7)
+        for voter in (0, 1):
+            tracker.add_vote("b", voter)
+        return tracker, fired
+
+    def _check(self, shape, threshold, merged, expect_new):
+        ordered = list(SHAPES[shape](merged))
+        merging, merged_fired = self._tracker(threshold)
+        per_vote, per_vote_fired = self._tracker(threshold)
+        new = merging.add_voters("b", SHAPES[shape](merged))
+        per_vote_new = [per_vote.add_vote("b", voter) for voter in ordered]
+        assert new is expect_new is any(per_vote_new)
+        assert merging.voters("b") == per_vote.voters("b") == {0, 1, *merged}
+        assert merged_fired == per_vote_fired
+        assert merging.fired_count() == per_vote.fired_count()
+        assert merging.equivocators() == per_vote.equivocators()
+        for voter in {0, 1, 7, *merged}:
+            assert merging.evidence(voter) == per_vote.evidence(voter)
+        return merged_fired
+
+    def test_noop_merge(self, shape):
+        assert self._check(shape, threshold=5, merged=[1, 0], expect_new=False) == []
+
+    def test_partial_merge(self, shape):
+        assert self._check(shape, threshold=6, merged=[1, 2, 7],
+                           expect_new=True) == []
+
+    def test_threshold_crossing_merge(self, shape):
+        fired = self._check(shape, threshold=4, merged=[5, 1, 7, 3, 2],
+                            expect_new=True)
+        assert len(fired) == 1 and len(fired[0][1]) == 4
+
+    def test_merge_after_crossing_never_refires(self, shape):
+        tracker, fired = self._tracker(3)
+        assert tracker.add_voters("b", SHAPES[shape]([2, 3])) is True
+        assert tracker.add_voters("b", SHAPES[shape]([4])) is True
+        assert [block for block, _ in fired] == ["b"]
+        assert tracker.equivocators() == frozenset()
+
+
 class TestCertificateCollector:
     def test_trackers_keyed_by_round_and_kind(self):
         collector = CertificateCollector()
@@ -167,3 +237,16 @@ class TestCertificateCollector:
             (1, VoteKind.FAST): frozenset({9}),
         }
         assert collector.equivocators() == frozenset({9})
+
+    def test_kind_table_is_live_and_evidence_keeps_creation_order(self):
+        collector = CertificateCollector()
+        notarizations = collector.table(VoteKind.NOTARIZATION)
+        assert notarizations == {}
+        keys = [(2, VoteKind.FAST), (1, VoteKind.NOTARIZATION), (1, VoteKind.FAST)]
+        for round_k, kind in keys:
+            tracker = collector.tracker(round_k, kind, 5)
+            tracker.add_vote("a", 9)
+            tracker.add_vote("b", 9)
+        assert notarizations == {1: collector.get(1, VoteKind.NOTARIZATION)}
+        assert collector.table(VoteKind.NOTARIZATION) is notarizations
+        assert list(collector.equivocation_evidence()) == keys

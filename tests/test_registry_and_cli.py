@@ -95,6 +95,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "mean_latency_ms" in out
 
+    def test_run_command_rejects_warmup_not_below_duration(self, capsys):
+        # The default 2 s warm-up swallows a 2 s run: an error, not zeros.
+        assert main(["run", "--n", "4", "--f", "1", "--duration", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "warmup 2s" in captured.err and "2s duration" in captured.err
+        assert captured.out == ""
+        assert main(["run", "--n", "4", "--f", "1", "--duration", "2",
+                     "--warmup", "3"]) == 2
+        assert "warmup 3s" in capsys.readouterr().err
+
+    def test_run_command_warmup_flag(self, capsys):
+        assert main([
+            "run", "--n", "4", "--f", "1", "--payload", "10000",
+            "--duration", "2", "--warmup", "0.5",
+        ]) == 0
+        out = capsys.readouterr().out
+        row = out.strip().splitlines()[-1].split()
+        committed = out.splitlines()[0].split().index("committed_blocks")
+        assert int(row[committed]) > 0
+
     def test_figure_command_quick(self, capsys):
         assert main(["figure", "6b", "--duration", "6"]) == 0
         out = capsys.readouterr().out

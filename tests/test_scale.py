@@ -347,8 +347,8 @@ class TestCliLatencyModel:
     def test_run_accepts_the_flag(self, capsys):
         from repro.cli import main
         code = main(["run", "--protocol", "banyan", "--n", "4", "--f", "1",
-                     "--p", "1", "--duration", "2", "--payload", "1000",
-                     "--latency-model", "wan-matrix"])
+                     "--p", "1", "--duration", "2", "--warmup", "0.5",
+                     "--payload", "1000", "--latency-model", "wan-matrix"])
         assert code == 0
         assert "banyan" in capsys.readouterr().out
 
